@@ -1,5 +1,6 @@
-//! A counting global allocator shared by the alloc-budget tests and
-//! the harness's columnar sweep.
+//! A counting global allocator shared by the `alloc_budget` test and
+//! the `perfbench` benchmark (which measures `admit.allocs_per_tuple`
+//! and `run.allocs_per_tuple` through it).
 //!
 //! Each binary that wants counts declares its own hook:
 //!
@@ -10,13 +11,14 @@
 //! ```
 //!
 //! Counting is gated on [`COUNTING`] so setup/teardown allocations are
-//! free; only the window inside [`measure`] is charged. Deallocations
+//! free; only the window inside [`measure`] (or between a caller's own
+//! stores to [`COUNTING`]) is charged. Deallocations
 //! are deliberately not counted — the budget is about allocator
 //! round-trips on the hot path, and frees mirror the allocs.
 //!
-//! The counter is process-global, so tests that use [`measure`] must
-//! not run concurrently with each other; keep one measuring `#[test]`
-//! per test process (each integration-test *file* is its own process).
+//! The counter is process-global, so measuring tests must not run
+//! concurrently with each other; keep one measuring `#[test]` per test
+//! process (each integration-test *file* is its own process).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -295,7 +295,7 @@ pub struct EngineCheckpoint {
     pub now: Timestamp,
     /// The engine interner's dictionary in symbol order, so a restored
     /// engine re-encodes state keys onto the symbols the capturing
-    /// engine assigned. Empty for seed-representation engines and for
+    /// engine assigned. Empty when nothing was interned and for
     /// version-1 checkpoints.
     pub dict: Vec<String>,
     /// The engine-assembled state tree (streams, queries, tables).

@@ -19,11 +19,10 @@
 //! even when no tuple arrives.
 
 use crate::agg::AggregateRegistry;
-use crate::batch::ColumnBatch;
 use crate::ckpt::{EngineCheckpoint, StateNode};
 use crate::error::{DsmsError, Result};
 use crate::expr::FunctionRegistry;
-use crate::intern::{InternerRef, Representation, StrInterner};
+use crate::intern::{InternerRef, StrInterner};
 use crate::key::KeyCodec;
 use crate::obs::{Counter, Histogram, MetricValue, MetricsSnapshot, Registry};
 use crate::ops::{OpReport, Operator, SharedCore, SharedCoreRef, SharedTap, SpeculativeGate};
@@ -300,16 +299,12 @@ pub struct Engine {
     next_seq: u64,
     now: Timestamp,
     auto_watermark: bool,
-    /// Row representation: interned (default) canonicalizes string
-    /// columns at admission so operator state keys on symbol ids.
-    representation: Representation,
     /// The engine's string dictionary (shared with its operators).
+    /// String columns are canonicalized through it at admission, so
+    /// operator state keys on symbol ids.
     interner: InternerRef,
     /// Key codec handed to operators at registration.
     codec: KeyCodec,
-    /// Whether the batch path hands columnar batches to capable
-    /// operators (effective only under the interned representation).
-    columnar: bool,
     /// Shared instrument registry (cloneable; see [`Engine::registry`]).
     obs: Registry,
     /// Punctuations delivered via [`Engine::advance_to`].
@@ -341,16 +336,8 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Fresh engine with built-in aggregates, no streams or queries,
-    /// running the default interned representation.
+    /// Fresh engine with built-in aggregates, no streams or queries.
     pub fn new() -> Engine {
-        Engine::with_representation(Representation::Interned)
-    }
-
-    /// Fresh engine with an explicit row representation. `Seed` keeps
-    /// raw string bytes in state keys — the pre-interning layout the R1
-    /// bench sweep measures against.
-    pub fn with_representation(representation: Representation) -> Engine {
         let obs = Registry::new();
         let punctuations = obs.counter("eslev_punctuations_total", &[]);
         let rejected_tuples = obs.counter("eslev_rejected_tuples_total", &[]);
@@ -358,10 +345,7 @@ impl Engine {
         let stale_watermarks = obs.counter("eslev_stale_watermarks_total", &[]);
         let tuple_latency = obs.histogram("eslev_tuple_latency_ns", &[]);
         let interner: InternerRef = Arc::new(StrInterner::new());
-        let codec = match representation {
-            Representation::Interned => KeyCodec::interned(interner.clone()),
-            Representation::Seed => KeyCodec::raw(),
-        };
+        let codec = KeyCodec::interned(interner.clone());
         Engine {
             streams: HashMap::new(),
             tables: HashMap::new(),
@@ -375,10 +359,8 @@ impl Engine {
             next_seq: 0,
             now: Timestamp::ZERO,
             auto_watermark: true,
-            representation,
             interner,
             codec,
-            columnar: false,
             obs,
             punctuations,
             rejected_tuples,
@@ -411,33 +393,6 @@ impl Engine {
     /// Drain the buffered trace events, oldest first.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         self.trace.drain()
-    }
-
-    /// The engine's row representation.
-    pub fn representation(&self) -> Representation {
-        self.representation
-    }
-
-    /// Opt the batch path into columnar (SoA) execution: batches to
-    /// columnar-capable operators are converted to [`ColumnBatch`]es
-    /// once per batch and run through their kernels. Only effective
-    /// under the interned representation — the seed representation has
-    /// no symbol columns and silently stays on the row path.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
-    }
-
-    /// Whether columnar execution is *effective*: requested via
-    /// [`Engine::set_columnar`] and running the interned representation.
-    pub fn columnar(&self) -> bool {
-        self.columnar && self.representation == Representation::Interned
-    }
-
-    /// The key codec operators are bound with at registration — the
-    /// planner uses it to bind freshly lowered plans when rendering
-    /// EXPLAIN output.
-    pub fn key_codec(&self) -> &KeyCodec {
-        &self.codec
     }
 
     /// Dictionary size: `(entries, content bytes)` of the engine's
@@ -983,7 +938,8 @@ impl Engine {
     /// per-tuple watermark schedule.
     fn ingest(&mut self, stream: &str, mut group: Vec<(Vec<Value>, Option<u64>)>) -> Result<()> {
         let batched = !self.needs_per_tuple_watermarks();
-        let max = self.ingest_group(stream, &mut group, batched)?;
+        let mut max = Timestamp::ZERO;
+        self.ingest_group(stream, &mut group, batched, &mut max)?;
         if batched && self.auto_watermark {
             self.advance_to(max)?;
         }
@@ -995,15 +951,22 @@ impl Engine {
     }
 
     /// Validate and deliver one stream's rows. In batched mode the whole
-    /// group is dispatched as a single batch and the caller issues one
-    /// trailing watermark; the returned timestamp is the newest delivered
-    /// event time (`ZERO` when the per-tuple path already advanced).
+    /// group is dispatched as a single batch, `max` is raised to the
+    /// newest delivered event time, and the caller issues one trailing
+    /// watermark at `max` (the per-tuple path advances by itself and
+    /// leaves `max` alone).
+    ///
+    /// A row that fails validation ends the group: the rows admitted
+    /// before it are still delivered and, with auto-watermarks on, the
+    /// watermark advances to `max` — exactly what one-at-a-time pushes
+    /// would have done — before the row's error is returned.
     fn ingest_group(
         &mut self,
         stream: &str,
         group: &mut Vec<(Vec<Value>, Option<u64>)>,
         batched: bool,
-    ) -> Result<Timestamp> {
+        max: &mut Timestamp,
+    ) -> Result<()> {
         let lower = stream.to_ascii_lowercase();
         let entry = self
             .streams
@@ -1016,10 +979,10 @@ impl Engine {
             for (values, seq) in group.drain(..) {
                 self.push_impl(stream, values, seq)?;
             }
-            return Ok(Timestamp::ZERO);
+            return Ok(());
         }
         let mut batch = Vec::with_capacity(group.len());
-        let mut max = Timestamp::ZERO;
+        let mut failed = None;
         for (mut values, seq) in group.drain(..) {
             let seqno = seq.unwrap_or(self.next_seq);
             let ts = match Tuple::validate_against(&entry.schema, &values) {
@@ -1034,19 +997,12 @@ impl Engine {
                         RejectReason::Malformed,
                         &e,
                     );
-                    return Err(e);
+                    failed = Some(e);
+                    break;
                 }
             };
-            // With the columnar path on, interning moves from ingest to
-            // batch conversion: `sym_of_column` interns each string
-            // column under one dictionary lock per column instead of one
-            // per value here. Row-path operators stay correct on
-            // un-canonicalized strings (their key codecs fall back to
-            // content lookups), they just lose the pointer fast path.
-            if self.representation == Representation::Interned && !self.columnar {
-                for &c in &entry.str_cols {
-                    self.interner.canonicalize(&mut values[c]);
-                }
+            for &c in &entry.str_cols {
+                self.interner.canonicalize(&mut values[c]);
             }
             let t = Tuple::new(values, ts, seqno);
             self.next_seq = self.next_seq.max(seqno + 1);
@@ -1066,10 +1022,11 @@ impl Engine {
                     RejectReason::Late,
                     &e,
                 );
-                return Err(e);
+                failed = Some(e);
+                break;
             }
             entry.last_ts = t.ts();
-            max = max.max(t.ts());
+            *max = (*max).max(t.ts());
             if seqno & WALL_SAMPLE_MASK == 0 {
                 self.lat_sample = Some(std::time::Instant::now());
                 self.trace.record(|| TraceKind::TupleAdmitted {
@@ -1081,8 +1038,18 @@ impl Engine {
         }
         entry.pushed += batch.len() as u64;
         entry.pushed_ctr.add(batch.len() as u64);
-        self.dispatch_batch(lower, batch, Deliver::All)?;
-        Ok(max)
+        if !batch.is_empty() {
+            self.dispatch_batch(lower, batch, Deliver::All)?;
+        }
+        match failed {
+            None => Ok(()),
+            Some(e) => {
+                if self.auto_watermark {
+                    self.advance_to(*max)?;
+                }
+                Err(e)
+            }
+        }
     }
 
     fn push_impl(
@@ -1112,12 +1079,8 @@ impl Engine {
                 return Err(e);
             }
         };
-        // See `ingest_group`: in columnar mode interning happens at
-        // batch conversion, not ingest.
-        if self.representation == Representation::Interned && !self.columnar {
-            for &c in &entry.str_cols {
-                self.interner.canonicalize(&mut values[c]);
-            }
+        for &c in &entry.str_cols {
+            self.interner.canonicalize(&mut values[c]);
         }
         let tolerant = entry.reorder.is_some();
         let t = Tuple::new(values, ts, seq);
@@ -1270,8 +1233,9 @@ impl Engine {
     /// watermark schedule ([`Engine::needs_per_tuple_watermarks`]) — the
     /// auto-watermarks of the whole call coalesce into a single trailing
     /// punctuation. Query output is byte-identical to pushing the rows
-    /// one at a time; on a validation error mid-batch, the failing row's
-    /// group is dropped whole (earlier groups are already delivered).
+    /// one at a time, also when a row fails validation: every row before
+    /// it is delivered and the watermark advanced past them, then the
+    /// row's error is returned and the rows after it are not pushed.
     pub fn push_batch(
         &mut self,
         rows: impl IntoIterator<Item = (String, Vec<Value>)>,
@@ -1290,7 +1254,7 @@ impl Engine {
                     break;
                 }
             }
-            max = max.max(self.ingest_group(&stream, &mut group, batched)?);
+            self.ingest_group(&stream, &mut group, batched, &mut max)?;
         }
         if batched && self.auto_watermark {
             self.advance_to(max)?;
@@ -1388,17 +1352,6 @@ impl Engine {
         // cap the cascade (counted in tuples) generously and report.
         let mut guard: u64 = 0;
         while let Some((stream, batch, mode)) = work.pop_front() {
-            // Only the columnar path shares the batch (so a conversion
-            // can remember it as its row-form source); the Arc wrap
-            // costs an allocation per batch, which row-only engines —
-            // including the differential oracle — must not pay.
-            let columnar_on = self.columnar && self.representation == Representation::Interned;
-            let (shared, plain): (Option<Arc<Vec<Tuple>>>, Vec<Tuple>) = if columnar_on {
-                (Some(Arc::new(batch)), Vec::new())
-            } else {
-                (None, batch)
-            };
-            let batch: &[Tuple] = shared.as_deref().map_or(&plain, Vec::as_slice);
             guard += batch.len() as u64;
             if guard > 10_000_000 {
                 return Err(DsmsError::plan(
@@ -1423,24 +1376,10 @@ impl Engine {
             };
             // One subscription-list clone per batch, not per tuple.
             let subs: Vec<(usize, usize)> = subs.clone();
-            // Columnar form of this batch, built lazily at the first
-            // capable subscriber and shared by the rest. `Some(None)`
-            // means conversion was tried and declined (ragged batch).
-            let mut cols: Option<Option<ColumnBatch>> = None;
             for (idx, port) in subs {
                 if !self.queries[idx].active || !mode.targets(self.queries[idx].consistency) {
                     continue;
                 }
-                let use_cols = columnar_on && self.queries[idx].op.columnar_capable();
-                if use_cols && cols.is_none() {
-                    let rows = shared.as_ref().expect("columnar_on implies a shared batch");
-                    cols = Some(ColumnBatch::from_shared_tuples(rows, Some(&self.interner)));
-                }
-                let cb = if use_cols {
-                    cols.as_ref().and_then(|c| c.as_ref())
-                } else {
-                    None
-                };
                 let mut outs = Vec::new();
                 {
                     let q = &mut self.queries[idx];
@@ -1452,10 +1391,7 @@ impl Engine {
                     let sampled = before & WALL_SAMPLE_MASK == 0
                         || (before >> 6) != ((before + batch.len() as u64) >> 6);
                     let started = sampled.then(std::time::Instant::now);
-                    match cb {
-                        Some(cb) => q.op.process_columns(port, cb, &mut outs)?,
-                        None => q.op.process_batch(port, batch, &mut outs)?,
-                    }
+                    q.op.process_batch(port, &batch, &mut outs)?;
                     if let Some(s) = started {
                         let elapsed = s.elapsed();
                         q.wall.record_duration(elapsed);

@@ -13,9 +13,9 @@
 //! are discriminated by tag (so `Int(1)` ≠ `Float(1.0)`), floats encode
 //! their bit pattern (NaN-safe), `NULL` equals `NULL`, and equal strings
 //! map to equal symbols because the engine's interner canonicalizes
-//! them. The seed (un-interned) representation uses the same codec with
-//! raw string bytes, so both representations run identical operator
-//! code.
+//! them. Operators not bound to an engine (and the standalone
+//! `eslev-core` detector) use the same codec with raw string bytes
+//! ([`KeyCodec::raw`]), so they run identical operator code.
 
 use crate::error::{DsmsError, Result};
 use crate::intern::{InternerRef, Sym};
@@ -68,7 +68,7 @@ impl Borrow<[u8]> for StateKey {
     }
 }
 
-/// Encoder/decoder for [`StateKey`]s: interned (symbols) or raw (seed)
+/// Encoder/decoder for [`StateKey`]s: interned (symbols) or raw
 /// string encoding, shared by every operator an engine registers.
 #[derive(Clone, Debug, Default)]
 pub struct KeyCodec {
@@ -76,7 +76,8 @@ pub struct KeyCodec {
 }
 
 impl KeyCodec {
-    /// Seed codec: strings encode as raw length-prefixed bytes.
+    /// Raw codec: strings encode as raw length-prefixed bytes. Operators
+    /// hold it until an engine binds its interned codec.
     pub fn raw() -> KeyCodec {
         KeyCodec::default()
     }
@@ -127,22 +128,6 @@ impl KeyCodec {
         }
     }
 
-    /// Append an already-interned symbol's encoding — the columnar
-    /// dedup kernel's path: the symbol comes straight off a `Str`
-    /// column, so no dictionary lookup (or lock) is needed. Produces
-    /// exactly the bytes [`KeyCodec::encode_value_into`] would for the
-    /// symbol's string under an interned codec.
-    pub fn encode_sym_into(&self, buf: &mut Vec<u8>, sym: Sym) {
-        buf.push(TAG_STR_SYM);
-        buf.extend_from_slice(&sym.0.to_le_bytes());
-    }
-
-    /// Append the NULL encoding (columnar kernels encode invalid rows
-    /// without building a `Value`).
-    pub fn encode_null_into(&self, buf: &mut Vec<u8>) {
-        buf.push(TAG_NULL);
-    }
-
     /// Encode a full key column list into a reusable scratch buffer
     /// (cleared first). Probe maps with `scratch.as_slice()` afterwards.
     pub fn encode_into(&self, buf: &mut Vec<u8>, vals: &[Value]) {
@@ -191,9 +176,10 @@ impl KeyCodec {
                 }
                 TAG_STR_SYM => {
                     let sym = Sym(u32::from_le_bytes(take4(bytes, &mut pos)?));
-                    let i = self.interner.as_ref().ok_or_else(|| {
-                        DsmsError::ckpt("symbol-encoded key in a raw-representation engine")
-                    })?;
+                    let i = self
+                        .interner
+                        .as_ref()
+                        .ok_or_else(|| DsmsError::ckpt("symbol-encoded key under a raw codec"))?;
                     Value::Str(i.resolve(sym)?)
                 }
                 TAG_STR_RAW => {

@@ -207,8 +207,8 @@ impl Operator for WindowAggregate {
     fn on_punctuation(&mut self, ts: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
         if self.emission == Emission::OnPunctuation {
             // Emission order is by the decoded key's rendering —
-            // identical to the seed's `Vec<Value>` sort, so periodic
-            // reports are byte-identical across representations.
+            // identical to a `Vec<Value>` sort, so periodic reports do
+            // not depend on the key codec.
             let mut keys: Vec<(Vec<Value>, StateKey)> = self
                 .groups
                 .keys()
@@ -270,7 +270,7 @@ impl Operator for WindowAggregate {
 
     fn save_state(&self) -> Result<StateNode> {
         // Keys decode back to values: the checkpoint format is the same
-        // whichever representation the engine runs.
+        // whichever key codec the operator runs.
         let mut keys: Vec<(Vec<Value>, &StateKey)> = self
             .groups
             .keys()

@@ -166,3 +166,83 @@ fn e10_star_batch_equals_tuple() {
     }
     assert_equivalent(script, query, &rows, "E10 star");
 }
+
+/// A row that fails validation mid-batch: the rows before it are
+/// delivered exactly as one-at-a-time pushes would deliver them, the
+/// error comes back, and the rows after it can be resubmitted. Covers a
+/// malformed row (wrong arity) and a row whose timestamp regresses, at
+/// the head, middle and tail of the batch, on E1's coalesced batch
+/// schedule.
+#[test]
+fn failed_row_mid_batch_delivers_prefix() {
+    let script = "CREATE STREAM readings (reader_id VARCHAR, tag_id VARCHAR, read_time TIMESTAMP)";
+    let query = "SELECT * FROM readings AS r1
+         WHERE NOT EXISTS
+           (SELECT * FROM TABLE( readings OVER (RANGE 1 SECONDS PRECEDING CURRENT)) AS r2
+            WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id)";
+    let mut rng = Lcg(14);
+    let rows: Vec<Row> = (0..40u64)
+        .map(|i| {
+            (
+                "readings".to_string(),
+                vec![
+                    Value::str(format!("reader{}", rng.below(2)).as_str()),
+                    Value::str(format!("tag{}", rng.below(4)).as_str()),
+                    Value::Ts(Timestamp::from_micros(1_000_000 + i * 300_000)),
+                ],
+            )
+        })
+        .collect();
+    let malformed: Row = ("readings".to_string(), vec![Value::str("reader0")]);
+    let regressed: Row = (
+        "readings".to_string(),
+        vec![
+            Value::str("reader0"),
+            Value::str("tag0"),
+            Value::Ts(Timestamp::from_micros(0)),
+        ],
+    );
+    let take = |c: &Collector| -> Vec<(Vec<Value>, Timestamp)> {
+        c.take()
+            .iter()
+            .map(|t| (t.values().to_vec(), t.ts()))
+            .collect()
+    };
+    for (kind, bad) in [("malformed", &malformed), ("regressed", &regressed)] {
+        for k in [0usize, 1, 17, 39] {
+            if k == 0 && kind == "regressed" {
+                // Nothing precedes it, so it regresses from nothing.
+                continue;
+            }
+            let label = format!("{kind} row at position {k}");
+            let ((mut e_tuple, c_tuple), (mut e_batch, c_batch)) = pair(script, query);
+            assert!(!e_batch.needs_per_tuple_watermarks());
+
+            for (stream, values) in &rows[..k] {
+                e_tuple.push(stream, values.clone()).expect("push");
+            }
+            assert!(e_tuple.push(&bad.0, bad.1.clone()).is_err(), "{label}");
+            for (stream, values) in &rows[k..] {
+                e_tuple.push(stream, values.clone()).expect("push");
+            }
+
+            let mut batch = rows[..k].to_vec();
+            batch.push(bad.clone());
+            batch.extend_from_slice(&rows[k..]);
+            assert!(e_batch.push_batch(batch).is_err(), "{label}");
+            assert_eq!(
+                e_batch.stream_pushed("readings").expect("stream"),
+                k as u64,
+                "{label}: the validated prefix is delivered"
+            );
+            e_batch
+                .push_batch(rows[k..].iter().cloned())
+                .unwrap_or_else(|e| panic!("{label}: resubmitting the rest failed: {e}"));
+
+            let (a, b) = (take(&c_tuple), take(&c_batch));
+            assert!(!a.is_empty(), "{label}: workload produced no output");
+            assert_eq!(a, b, "{label}: batched output diverged from per-tuple");
+            assert_eq!(e_batch.dead_letters().count(), 1, "{label}");
+        }
+    }
+}

@@ -1,9 +1,8 @@
 //! Interner steady-state regression: with a fixed vocabulary, the
 //! dictionary must stop growing once every distinct string has been
-//! seen — on the row path, on the columnar path, and (the case this
-//! pins) for strings constructed *mid-chain* by computed projection
-//! outputs, which are routed through the bound interner rather than
-//! left as fresh un-interned `Arc<str>`s.
+//! seen — for admitted rows, and for strings constructed *mid-chain* by
+//! computed projection outputs, which are routed through the bound
+//! interner rather than left as fresh un-interned `Arc<str>`s.
 
 use eslev::prelude::*;
 use std::sync::Arc;
@@ -63,12 +62,8 @@ fn assert_flat(mut engine: Engine, query: &str, label: &str) {
 }
 
 #[test]
-fn e1_steady_state_keeps_dictionary_flat_row_and_columnar() {
-    for columnar in [false, true] {
-        let mut e = Engine::new();
-        e.set_columnar(columnar);
-        assert_flat(e, E1, if columnar { "E1 columnar" } else { "E1 row" });
-    }
+fn e1_steady_state_keeps_dictionary_flat() {
+    assert_flat(Engine::new(), E1, "E1");
 }
 
 /// Computed string outputs: a UDF builds a *new* string per tuple from
@@ -77,25 +72,18 @@ fn e1_steady_state_keeps_dictionary_flat_row_and_columnar() {
 /// the dictionary must converge to one entry per distinct content.
 #[test]
 fn computed_string_outputs_keep_dictionary_flat() {
-    for columnar in [false, true] {
-        let mut e = Engine::new();
-        e.set_columnar(columnar);
-        e.functions_mut().register(
-            "tagcat",
-            Arc::new(|args: &[Value]| {
-                let a = args[0].as_str().unwrap_or("");
-                let b = args[1].as_str().unwrap_or("");
-                Ok(Value::str(format!("{a}-{b}").as_str()))
-            }),
-        );
-        assert_flat(
-            e,
-            "SELECT tagcat(reader_id, tag_id) FROM readings",
-            if columnar {
-                "tagcat columnar"
-            } else {
-                "tagcat row"
-            },
-        );
-    }
+    let mut e = Engine::new();
+    e.functions_mut().register(
+        "tagcat",
+        Arc::new(|args: &[Value]| {
+            let a = args[0].as_str().unwrap_or("");
+            let b = args[1].as_str().unwrap_or("");
+            Ok(Value::str(format!("{a}-{b}").as_str()))
+        }),
+    );
+    assert_flat(
+        e,
+        "SELECT tagcat(reader_id, tag_id) FROM readings",
+        "tagcat",
+    );
 }
